@@ -171,8 +171,9 @@ func TestHeadHasExactlyOneChild(t *testing.T) {
 	}
 }
 
-func TestRecursionHeadTracksEpisode(t *testing.T) {
-	prog := mustCompile(t, `
+// recursiveProgram calls a doubly recursive procedure from a loop: three
+// outermost episodes, each with many nested activations.
+const recursiveProgram = `
 proc fib(n) {
 	if (n < 2) { return n; }
 	return fib(n-1) + fib(n-2);
@@ -181,7 +182,10 @@ proc main(k) {
 	var s = 0;
 	for (var i = 0; i < 3; i = i + 1) { s = s + fib(k); }
 	return s;
-}`, false)
+}`
+
+func TestRecursionHeadTracksEpisode(t *testing.T) {
+	prog := mustCompile(t, recursiveProgram, false)
 	g := mustProfile(t, prog, 12)
 
 	head := findNode(t, g, ProcHead, "fib")

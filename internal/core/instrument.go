@@ -28,10 +28,14 @@ import (
 //     edges are split the same way, firing once per iteration.
 //
 // Static marks are context-insensitive; for recursive procedures a
-// head→body mark fires per activation where the call-loop walker counts
-// only outermost episodes. GroupN counting is the mark consumer's job
-// (see MarkHandler).
+// head→body mark fires per activation where the Detector (following the
+// call-loop walker) counts only outermost episodes. GroupN counting is
+// the mark consumer's job (see MarkHandler). A set that fails
+// MarkerSet.Validate is rejected.
 func Instrument(prog *minivm.Program, set *MarkerSet) (*minivm.Program, error) {
+	if err := set.Validate(prog); err != nil {
+		return nil, err
+	}
 	clone := cloneProgram(prog)
 	loops := minivm.FindLoops(clone)
 

@@ -14,21 +14,39 @@ type Profiler struct {
 	g *Graph
 }
 
+// profileSink folds each closed traversal into its graph edge. Edges are
+// found through a dense per-site table: every key the walker closes names
+// its site block, and a site sees only a handful of distinct edges, so a
+// short linear key compare replaces hashing the full key into the graph's
+// edge map. ensureEdge runs only on a miss, in the same order as before,
+// so edge creation order and each edge's update order are unchanged.
 type profileSink struct {
-	g *Graph
+	g      *Graph
+	bySite [][]*Edge // edges met so far, indexed by site block ID
 }
 
-func (s profileSink) EdgeOpen(EdgeKey, uint64) {}
+func (s *profileSink) EdgeOpen(EdgeKey, uint64) {}
 
-func (s profileSink) EdgeClose(k EdgeKey, hier uint64) {
-	s.g.ensureEdge(k).Hier.Add(float64(hier))
+func (s *profileSink) EdgeClose(k EdgeKey, hier uint64) {
+	s.edge(k).Hier.Add(float64(hier))
+}
+
+func (s *profileSink) edge(k EdgeKey) *Edge {
+	for _, e := range s.bySite[k.Site] {
+		if e.Key == k {
+			return e
+		}
+	}
+	e := s.g.ensureEdge(k)
+	s.bySite[k.Site] = append(s.bySite[k.Site], e)
+	return e
 }
 
 // NewProfiler builds a profiler (and its graph) for prog.
 func NewProfiler(prog *minivm.Program) *Profiler {
 	g := NewGraph(prog)
 	p := &Profiler{g: g}
-	p.Walker = NewWalker(prog, g.Loops, profileSink{g: g})
+	p.Walker = NewWalker(prog, g.Loops, &profileSink{g: g, bySite: make([][]*Edge, prog.NumBlocks)})
 	return p
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"phasemark/internal/minivm"
 	"phasemark/internal/obs"
 )
 
@@ -105,6 +106,36 @@ func (s *MarkerSet) ByKey() map[EdgeKey]int {
 		m[mk.Key] = i
 	}
 	return m
+}
+
+// Validate reports the first marker that cannot be detected on prog:
+// GroupN must be at least 1, every site must be a block of prog, and
+// every loop node a key names must be headed by a loop of prog.
+func (s *MarkerSet) Validate(prog *minivm.Program) error {
+	var heads map[int]bool // loop head block IDs, built on first use
+	for i, mk := range s.Markers {
+		if mk.GroupN == 0 {
+			return fmt.Errorf("core: marker %d (%v) has GroupN 0, want >= 1", i, mk.Key)
+		}
+		if mk.Key.Site < 0 || mk.Key.Site >= prog.NumBlocks {
+			return fmt.Errorf("core: marker %d (%v): site %d is not a block of the program", i, mk.Key, mk.Key.Site)
+		}
+		for _, n := range [2]NodeKey{mk.Key.From, mk.Key.To} {
+			if n.Kind != LoopHead && n.Kind != LoopBody {
+				continue
+			}
+			if heads == nil {
+				heads = map[int]bool{}
+				for _, l := range minivm.FindLoops(prog).All {
+					heads[l.Head.ID] = true
+				}
+			}
+			if !heads[n.ID] {
+				return fmt.Errorf("core: marker %d (%v): block %d heads no loop", i, mk.Key, n.ID)
+			}
+		}
+	}
+	return nil
 }
 
 // String summarizes the set.

@@ -7,8 +7,7 @@ import (
 )
 
 // EdgeSink receives call-loop edge traversal events from a Walker. The
-// profiler implements it to accumulate edge statistics; the marker
-// detector implements it to fire phase boundaries.
+// profiler implements it to accumulate edge statistics.
 type EdgeSink interface {
 	// EdgeOpen fires when a traversal of edge k begins, with the dynamic
 	// instruction count at that point. A software phase marker placed on k
@@ -19,44 +18,33 @@ type EdgeSink interface {
 	EdgeClose(k EdgeKey, hier uint64)
 }
 
-// edgeOpenOnly marks EdgeSinks whose EdgeClose is a no-op (the detector:
-// markers fire on edge opens). The walker then skips the close call on
-// every pop, which otherwise costs an interface dispatch plus an EdgeKey
-// copy per edge traversal.
-type edgeOpenOnly interface{ edgeOpenOnly() }
-
 type walkEntry struct {
-	key   EdgeKey
-	node  NodeKey // the context node this entry establishes
+	key   EdgeKey // key.To is the context node this entry establishes
 	start uint64
 	full  bool         // proc-body entry with a head entry beneath it
 	pend  *minivm.Loop // loop-head entry awaiting its first iteration block
 }
 
-// Walker reconstructs call-loop edge traversals from an execution. It is
-// the runtime core shared by profiling (graph building) and marker
-// detection: it mirrors the machine's call stack and active-loop nesting,
-// opening and closing edges of the (virtual) call-loop graph and measuring
-// hierarchical instruction counts.
+// Walker reconstructs call-loop edge traversals from an execution for
+// profiling (graph building): it mirrors the machine's call stack and
+// active-loop nesting, opening and closing edges of the (virtual)
+// call-loop graph and measuring hierarchical instruction counts. Marker
+// detection reproduces its edge opens without it (see Detector).
 //
 // Wire it to a Machine as the Observer (fan in with MultiObserver to
 // combine with others).
 type Walker struct {
-	prog     *minivm.Program
-	loops    *minivm.Loops
-	sink     EdgeSink
-	tracker  *minivm.LoopTracker
-	instrs   uint64
-	stack    []walkEntry
-	act      []int // activation count per proc ID (recursion detection)
-	openOnly bool  // sink ignores EdgeClose (see edgeOpenOnly)
+	sink    EdgeSink
+	tracker *minivm.LoopTracker
+	instrs  uint64
+	stack   []walkEntry
+	act     []int // activation count per proc ID (recursion detection)
 }
 
 // NewWalker builds a walker over prog (with the given loop table, which
 // must come from the same program) reporting to sink.
 func NewWalker(prog *minivm.Program, loops *minivm.Loops, sink EdgeSink) *Walker {
-	w := &Walker{prog: prog, loops: loops, sink: sink, act: make([]int, len(prog.Procs))}
-	_, w.openOnly = sink.(edgeOpenOnly)
+	w := &Walker{sink: sink, act: make([]int, len(prog.Procs))}
 	w.tracker = minivm.NewLoopTracker(loops, w)
 	entry := prog.EntryProc()
 	// The virtual root calls the entry procedure.
@@ -65,12 +53,9 @@ func NewWalker(prog *minivm.Program, loops *minivm.Loops, sink EdgeSink) *Walker
 	return w
 }
 
-// Instructions reports the dynamic instructions observed so far.
-func (w *Walker) Instructions() uint64 { return w.instrs }
-
 // ObservedEvents implements minivm.EventMasker: the walker mirrors control
 // flow (blocks, calls, returns) and never reads branch outcomes or memory
-// references. Embedders (Profiler, Detector) inherit the mask.
+// references. Profiler inherits the mask.
 func (w *Walker) ObservedEvents() minivm.EventMask {
 	return minivm.EvBlock | minivm.EvCall | minivm.EvReturn
 }
@@ -79,27 +64,25 @@ func (w *Walker) top() NodeKey {
 	if len(w.stack) == 0 {
 		return NodeKey{Kind: RootKind}
 	}
-	return w.stack[len(w.stack)-1].node
+	return w.stack[len(w.stack)-1].key.To
 }
 
-func (w *Walker) push(key EdgeKey, node NodeKey, full bool) {
+func (w *Walker) push(key EdgeKey, full bool) {
 	w.sink.EdgeOpen(key, w.instrs)
-	w.stack = append(w.stack, walkEntry{key: key, node: node, start: w.instrs, full: full})
+	w.stack = append(w.stack, walkEntry{key: key, start: w.instrs, full: full})
 }
 
 func (w *Walker) pop() {
 	n := len(w.stack) - 1
-	if !w.openOnly {
-		w.sink.EdgeClose(w.stack[n].key, w.instrs-w.stack[n].start)
-	}
+	w.sink.EdgeClose(w.stack[n].key, w.instrs-w.stack[n].start)
 	w.stack = w.stack[:n]
 }
 
 func (w *Walker) openProc(ctx NodeKey, callee *minivm.Proc, site int) {
 	head := NodeKey{Kind: ProcHead, ID: callee.ID}
 	body := NodeKey{Kind: ProcBody, ID: callee.ID}
-	w.push(EdgeKey{From: ctx, To: head, Site: site}, head, false)
-	w.push(EdgeKey{From: head, To: body, Site: callee.Blocks[0].ID}, body, true)
+	w.push(EdgeKey{From: ctx, To: head, Site: site}, false)
+	w.push(EdgeKey{From: head, To: body, Site: callee.Blocks[0].ID}, true)
 	w.act[callee.ID]++
 }
 
@@ -113,7 +96,7 @@ func (w *Walker) resolvePending() {
 	top.pend = nil
 	head := NodeKey{Kind: LoopHead, ID: l.Head.ID}
 	body := NodeKey{Kind: LoopBody, ID: l.Head.ID}
-	w.push(EdgeKey{From: head, To: body, Site: l.Head.ID}, body, false)
+	w.push(EdgeKey{From: head, To: body, Site: l.Head.ID}, false)
 }
 
 // OnBlock implements minivm.Observer.
@@ -143,7 +126,7 @@ func (w *Walker) OnCall(site *minivm.Block, callee *minivm.Proc) {
 		// Recursive activation: traverse directly to the body node so the
 		// head's incoming edge measures the entire outermost episode (§4.2).
 		body := NodeKey{Kind: ProcBody, ID: callee.ID}
-		w.push(EdgeKey{From: ctx, To: body, Site: site.ID}, body, false)
+		w.push(EdgeKey{From: ctx, To: body, Site: site.ID}, false)
 		w.act[callee.ID]++
 		return
 	}
@@ -176,7 +159,7 @@ func (w *Walker) OnMem(uint64, bool) {}
 func (w *Walker) OnLoopEnter(l *minivm.Loop) {
 	ctx := w.top()
 	head := NodeKey{Kind: LoopHead, ID: l.Head.ID}
-	w.push(EdgeKey{From: ctx, To: head, Site: l.Head.ID}, head, false)
+	w.push(EdgeKey{From: ctx, To: head, Site: l.Head.ID}, false)
 	w.stack[len(w.stack)-1].pend = l // body opens at the first iteration block
 }
 
@@ -203,27 +186,6 @@ func (w *Walker) OnLoopExit(l *minivm.Loop) {
 		w.pop() // body
 	}
 	w.pop() // head
-}
-
-// Restart re-arms the walker for another execution of the same program,
-// re-opening the virtual root → entry-procedure edges at the current
-// instruction count. The previous run must have ended balanced (the
-// machine halted or returned from the entry procedure, leaving no open
-// traversals); the instruction counter is NOT reset, so a restarted walk
-// observes one long amplified execution. This is what trace.Run's Scale
-// amplifier uses between machine resets.
-func (w *Walker) Restart() error {
-	if n := len(w.stack); n != 0 {
-		return fmt.Errorf("core: restart with %d traversals still open", n)
-	}
-	for id, a := range w.act {
-		if a != 0 {
-			return fmt.Errorf("core: restart with unbalanced activations for proc %d: %d", id, a)
-		}
-	}
-	entry := w.prog.EntryProc()
-	w.openProc(NodeKey{Kind: RootKind}, entry, entry.Blocks[0].ID)
-	return nil
 }
 
 // Finish closes any traversals still open (none after a balanced run; a

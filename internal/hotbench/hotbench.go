@@ -91,7 +91,7 @@ func StagesScaled(scale, workers int) []Stage {
 		},
 		{
 			Name: "detector_fire",
-			Desc: "marker detection: art on its train input under a walker-based detector for its own limit-mode markers (100k-2M with loop-iteration grouping — the config with real probe traffic, ~4% of instructions; the no-limit selection's markers sit on edges traversed a few dozen times, leaving nothing to detect)",
+			Desc: "marker detection: art on its train input under the detector's static firing tables for its own limit-mode markers (100k-2M with loop-iteration grouping — the config with real probe traffic, ~4% of instructions; the no-limit selection's markers sit on edges traversed a few dozen times, leaving nothing to detect)",
 			Unit: "Minstr/s",
 			New:  newDetectorFire,
 		},
@@ -100,6 +100,12 @@ func StagesScaled(scale, workers int) []Stage {
 			Desc: "marker detection after minimum-cost placement: detector_fire's fixture with the core.MinimizeMarkers placement (setup verifies the kept markers fire as the exact restriction of the full set)",
 			Unit: "Minstr/s",
 			New:  newDetectorFireMin,
+		},
+		{
+			Name: "profile_run",
+			Desc: "call-loop graph profiling: core.ProfileRun on gzip's train input (walker + per-site edge statistics)",
+			Unit: "Minstr/s",
+			New:  newProfileRun,
 		},
 		{
 			Name: "trace_fixed",
@@ -347,6 +353,24 @@ func newDetectorFireMin() (func() (uint64, error), error) {
 			return 0, err
 		}
 		return m.Instructions(), nil
+	}, nil
+}
+
+func newProfileRun() (func() (uint64, error), error) {
+	prog, w, err := compiled("gzip", false)
+	if err != nil {
+		return nil, err
+	}
+	m := minivm.NewMachine(prog, nil)
+	if _, err := m.Run(w.Train...); err != nil {
+		return nil, err
+	}
+	instrs := m.Instructions()
+	return func() (uint64, error) {
+		if _, err := core.ProfileRun(prog, w.Train...); err != nil {
+			return 0, err
+		}
+		return instrs, nil
 	}, nil
 }
 

@@ -153,6 +153,10 @@ func NewLoopTracker(loops *Loops, ev LoopEvents) *LoopTracker {
 // control-flow events.
 func (t *LoopTracker) ObservedEvents() EventMask { return EvBlock | EvCall | EvReturn }
 
+// Active returns the current frame's active loops, outermost first. The
+// slice aliases the tracker's state: read it, do not keep or modify it.
+func (t *LoopTracker) Active() []*Loop { return t.frames[len(t.frames)-1].active }
+
 // OnBlock implements Observer.
 func (t *LoopTracker) OnBlock(b *Block) {
 	fr := &t.frames[len(t.frames)-1]

@@ -255,9 +255,9 @@ func runSplit(cfg Config) (*Result, error) {
 	}()
 
 	// The analysis stack is constructed on the consumer side exactly as
-	// the serial path constructs it; in marker mode the detector's
-	// walker fires entry-edge opens here, before any event replays,
-	// just as NewDetector does before the serial machine starts.
+	// the serial path constructs it; in marker mode the detector fires
+	// entry-edge markers here, before any event replays, just as
+	// NewDetector does before the serial machine starts.
 	s := newAnalysisStack(cfg)
 	blocks := blockTable(cfg.Prog)
 	procs := cfg.Prog.Procs

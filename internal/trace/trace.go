@@ -226,8 +226,13 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Prog == nil {
 		return nil, fmt.Errorf("trace: nil program")
 	}
-	if cfg.FixedLen == 0 && cfg.Markers == nil {
-		return nil, fmt.Errorf("trace: need FixedLen or Markers")
+	if cfg.FixedLen == 0 {
+		if cfg.Markers == nil {
+			return nil, fmt.Errorf("trace: need FixedLen or Markers")
+		}
+		if err := cfg.Markers.Validate(cfg.Prog); err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
 	}
 	if cfg.CPU.L1.Sets == 0 {
 		cfg.CPU = uarch.DefaultConfig()

@@ -1,9 +1,13 @@
 package phasemark_test
 
 import (
+	"strings"
 	"testing"
 
 	"phasemark"
+	"phasemark/internal/core"
+	"phasemark/internal/minivm"
+	"phasemark/internal/workloads"
 )
 
 const demoSrc = `
@@ -97,6 +101,53 @@ func TestCrossBinaryFacade(t *testing.T) {
 	for i := range t0 {
 		if t0[i] != t1[i] {
 			t.Fatalf("traces differ at %d", i)
+		}
+	}
+}
+
+// TestSegmentRejectsInvalidMarkers is the regression test for a GroupN 0
+// marker, which used to crash tracing with an integer divide by zero:
+// Segment must return an error, without running, for any marker the
+// detector cannot fire.
+func TestSegmentRejectsInvalidMarkers(t *testing.T) {
+	w, err := workloads.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := w.MustCompile(false)
+	graph, err := phasemark.Profile(prog, w.Train...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := phasemark.Select(graph, phasemark.SelectOptions{ILower: 100_000})
+	if len(set.Markers) == 0 {
+		t.Fatal("no markers selected")
+	}
+	if _, err := phasemark.Segment(prog, set, w.Train...); err != nil {
+		t.Fatalf("valid set rejected: %v", err)
+	}
+	loops := minivm.FindLoops(prog)
+	nonHead := 0 // a block that heads no loop
+	for loops.LoopAtHead(prog.BlockByID(nonHead)) != nil {
+		nonHead++
+	}
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(*phasemark.Marker)
+	}{
+		{"groupn zero", "GroupN 0", func(m *phasemark.Marker) { m.GroupN = 0 }},
+		{"site outside program", "not a block", func(m *phasemark.Marker) { m.Key.Site = prog.NumBlocks }},
+		{"loop marker on a non-head", "heads no loop", func(m *phasemark.Marker) {
+			m.Key.To = core.NodeKey{Kind: core.LoopHead, ID: nonHead}
+			m.Key.Site = nonHead
+		}},
+	} {
+		bad := *set
+		bad.Markers = append([]phasemark.Marker(nil), set.Markers...)
+		tc.mutate(&bad.Markers[len(bad.Markers)-1])
+		_, err := phasemark.Segment(prog, &bad, w.Train...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Segment error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }
