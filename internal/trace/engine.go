@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"phasemark/internal/bbv"
-	"phasemark/internal/core"
 	"phasemark/internal/minivm"
 	"phasemark/internal/uarch"
 )
@@ -182,42 +181,6 @@ func blockTable(p *minivm.Program) []*minivm.Block {
 	return t
 }
 
-// analysisStack is the consumer-side observer state shared by both
-// engine regimes: the same components, built the same way, as the
-// serial path wires into the machine.
-type analysisStack struct {
-	cpu   *uarch.CPU
-	col   *collector
-	det   *core.Detector
-	fixed *FixedCutter
-}
-
-func newAnalysisStack(cfg Config) *analysisStack {
-	s := &analysisStack{cpu: uarch.NewCPU(cfg.CPU, cfg.Prog)}
-	s.col = &collector{
-		cpu:      s.cpu,
-		acc:      bbv.NewAccumulator(cfg.Prog.NumBlocks),
-		skipBBV:  cfg.SkipBBV,
-		sink:     cfg.Sink,
-		curPhase: ProloguePhase,
-	}
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = intervalChunk
-	}
-	s.col.arena = make([]Interval, 0, chunk)
-	if cfg.FixedLen > 0 {
-		s.fixed = NewFixedCutter(cfg.FixedLen, func(at uint64) {
-			s.col.cut(ProloguePhase, at)
-		})
-	} else {
-		s.det = core.NewDetector(cfg.Prog, nil, cfg.Markers, func(marker int, at uint64) {
-			s.col.cut(marker, at)
-		})
-	}
-	return s
-}
-
 // runSplit is the single-execution record/replay regime: one producer
 // goroutine interprets, the caller replays events through the analysis
 // stack in the serial observer order.
@@ -256,9 +219,9 @@ func runSplit(cfg Config) (*Result, error) {
 
 	// The analysis stack is constructed on the consumer side exactly as
 	// the serial path constructs it; in marker mode the detector fires
-	// entry-edge markers here, before any event replays, just as
-	// NewDetector does before the serial machine starts.
-	s := newAnalysisStack(cfg)
+	// entry-edge markers here, before any event replays, just as it does
+	// before the serial machine starts.
+	s := newAnalysisStack(cfg, cfg.Sink)
 	blocks := blockTable(cfg.Prog)
 	procs := cfg.Prog.Procs
 	skip := cfg.SkipBBV
@@ -269,9 +232,10 @@ func runSplit(cfg Config) (*Result, error) {
 			switch w & evTagMask {
 			case evBlock:
 				b := blocks[payload]
-				// Serial dispatch order per block: cutter/detector first
-				// (a cut excludes the block that begins the next
-				// interval), then the timing model and BBV touch.
+				// Direct calls, not an observer list, but the dispatch
+				// order must mirror analysisStack.observers(): the
+				// cutter/detector first, then the timing model and BBV
+				// touch.
 				if s.det != nil {
 					s.det.OnBlock(b)
 				} else {
@@ -318,24 +282,8 @@ func runSplit(cfg Config) (*Result, error) {
 	if total != prodInstrs {
 		return nil, fmt.Errorf("trace: engine replay drift: replayed %d instructions, machine ran %d", total, prodInstrs)
 	}
-
 	s.col.cut(ProloguePhase, total)
-	s.col.flush()
-	if s.col.err != nil {
-		return nil, fmt.Errorf("trace: sink: %w", s.col.err)
-	}
-	res := &Result{
-		Total:        s.cpu.Counters(),
-		Instructions: total,
-		NumBlocks:    cfg.Prog.NumBlocks,
-	}
-	if s.det != nil {
-		res.MarkerFires = s.det.TotalFired()
-	}
-	obsTraceRuns.Inc()
-	obsIntervals.Add(uint64(s.col.count))
-	obsMarkerFires.Add(res.MarkerFires)
-	return res, nil
+	return s.finish(cfg, total, s.cpu.Counters())
 }
 
 // repChunk is the rep-parallel transfer unit: a deep copy of one
@@ -386,10 +334,9 @@ func (tc *repChunk) fill(chunk []Interval, instrBase uint64, indexBase int) {
 }
 
 // repWorker runs repetitions w, w+W, w+2W, ... on its own machine and
-// analysis state, shipping rep-local chunks through its ring. The
-// machine, CPU, and detector are built once and Reset/Restart-reused
-// between repetitions — each repetition is an independent cold run,
-// exactly as the serial Scale loop makes them.
+// analysis stack, shipping rep-local chunks through its ring. The machine
+// and stack are built once and reused through runRep's cold restart
+// between repetitions, exactly as the serial Scale loop reuses them.
 func repWorker(cfg Config, runs, w, W int, out chan<- *repChunk, free <-chan *repChunk, stop <-chan struct{}) {
 	defer close(out)
 
@@ -415,22 +362,9 @@ func repWorker(cfg Config, runs, w, W int, out chan<- *repChunk, free <-chan *re
 		send(&repChunk{err: err})
 	}
 
-	cpu := uarch.NewCPU(cfg.CPU, cfg.Prog)
-	col := &collector{
-		cpu:      cpu,
-		acc:      bbv.NewAccumulator(cfg.Prog.NumBlocks),
-		skipBBV:  cfg.SkipBBV,
-		curPhase: ProloguePhase,
-	}
-	chunkCap := cfg.ChunkSize
-	if chunkCap <= 0 {
-		chunkCap = intervalChunk
-	}
-	col.arena = make([]Interval, 0, chunkCap)
-
 	var repInstrBase uint64 // worker-cumulative position at rep start
 	var repIndexBase int
-	col.sink = func(chunk []Interval) error {
+	s := newAnalysisStack(cfg, func(chunk []Interval) error {
 		tc, ok := acquire()
 		if !ok {
 			return errEngineStopped
@@ -441,59 +375,20 @@ func repWorker(cfg Config, runs, w, W int, out chan<- *repChunk, free <-chan *re
 			return errEngineStopped
 		}
 		return nil
-	}
+	})
+	m := minivm.NewMachine(cfg.Prog, s.observers())
 
-	var observers minivm.MultiObserver
-	var det *core.Detector
-	var fixed *FixedCutter
-	if cfg.FixedLen > 0 {
-		fixed = NewFixedCutter(cfg.FixedLen, func(at uint64) {
-			col.cut(ProloguePhase, at)
-		})
-		observers = append(observers, fixed)
-	} else {
-		det = core.NewDetector(cfg.Prog, nil, cfg.Markers, func(marker int, at uint64) {
-			col.cut(marker, at)
-		})
-		observers = append(observers, det)
-	}
-	if cfg.SkipBBV {
-		observers = append(observers, cpu)
-	} else {
-		observers = append(observers,
-			&perfBlockObs{cpu: cpu, acc: col.acc},
-			minivm.Masked(cpu, minivm.EvBranch|minivm.EvMem))
-	}
-	m := minivm.NewMachine(cfg.Prog, observers)
-
-	var workerTotal uint64
 	var firedBase uint64
 	for rep := w; rep < runs; rep += W {
-		if rep != w {
-			cpu.Reset()
-			col.lastPerf = uarch.Counters{}
-			m.Reset()
-			if det != nil {
-				if err := det.Restart(); err != nil {
-					fail(fmt.Errorf("trace: scale restart: %w", err))
-					return
-				}
-			} else {
-				fixed.Rebase()
-			}
-		}
-		repInstrBase = workerTotal
-		repIndexBase = col.count
-		if _, err := m.Run(cfg.Args...); err != nil {
-			fail(fmt.Errorf("trace: run failed: %w", err))
+		repIndexBase = s.col.count
+		if err := s.runRep(m, cfg.Args, rep != w, repInstrBase); err != nil {
+			fail(err)
 			return
 		}
-		workerTotal += m.Instructions()
-		col.cut(ProloguePhase, workerTotal)
-		col.flush()
-		if col.err != nil {
-			if col.err != errEngineStopped {
-				fail(col.err)
+		s.col.flush()
+		if s.col.err != nil {
+			if s.col.err != errEngineStopped {
+				fail(s.col.err)
 			}
 			return
 		}
@@ -504,14 +399,13 @@ func repWorker(cfg Config, runs, w, W int, out chan<- *repChunk, free <-chan *re
 		tc.ivs = tc.ivs[:0]
 		tc.last, tc.err = true, nil
 		tc.instrs = m.Instructions()
-		tc.perf = cpu.Counters()
-		if det != nil {
-			tc.fires = det.TotalFired() - firedBase
-			firedBase = det.TotalFired()
-		}
+		tc.perf = s.cpu.Counters()
+		tc.fires = s.fires() - firedBase
+		firedBase += tc.fires
 		if !send(tc) {
 			return
 		}
+		repInstrBase += m.Instructions()
 	}
 }
 
@@ -520,10 +414,6 @@ func repWorker(cfg Config, runs, w, W int, out chan<- *repChunk, free <-chan *re
 // streams back into the one global stream the serial path produces.
 func runReps(cfg Config, runs int) (*Result, error) {
 	W := min(cfg.Workers, runs)
-	chunkCap := cfg.ChunkSize
-	if chunkCap <= 0 {
-		chunkCap = intervalChunk
-	}
 
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -535,7 +425,7 @@ func runReps(cfg Config, runs int) (*Result, error) {
 		outs[w] = make(chan *repChunk, engineRingBufs)
 		frees[w] = make(chan *repChunk, engineRingBufs)
 		for i := 0; i < engineRingBufs; i++ {
-			frees[w] <- &repChunk{ivs: make([]Interval, 0, chunkCap)}
+			frees[w] <- &repChunk{ivs: make([]Interval, 0, cfg.ChunkSize)}
 		}
 		go repWorker(cfg, runs, w, W, outs[w], frees[w], stop)
 	}
@@ -602,14 +492,11 @@ reduce:
 		return nil, firstErr
 	}
 
-	res := &Result{
+	countRun(baseIndex, fires)
+	return &Result{
 		Total:        total,
 		Instructions: baseInstr,
 		NumBlocks:    cfg.Prog.NumBlocks,
 		MarkerFires:  fires,
-	}
-	obsTraceRuns.Inc()
-	obsIntervals.Add(uint64(baseIndex))
-	obsMarkerFires.Add(fires)
-	return res, nil
+	}, nil
 }

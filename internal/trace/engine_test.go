@@ -53,9 +53,9 @@ func equalStreams(t *testing.T, got, want []Interval, label string) {
 
 // The pipeline-parallel engine must produce a byte-identical interval
 // stream and identical totals at every worker count and chunk size, in
-// both cutting modes, at scale 1 (record/replay split) and scale 5
-// (rep-parallel workers). Run under -race this also exercises the
-// ring handoffs for data races.
+// both cutting modes, with and without BBV collection, at scale 1
+// (record/replay split) and scale 5 (rep-parallel workers). Run under
+// -race this also exercises the ring handoffs for data races.
 func TestEngineParallelDeterminism(t *testing.T) {
 	for _, mode := range []string{"marker", "fixed"} {
 		for _, scale := range []int{1, 5} {
@@ -66,26 +66,28 @@ func TestEngineParallelDeterminism(t *testing.T) {
 					base.FixedLen = 20_000
 				}
 				base.Scale = scale
-				for _, chunk := range []int{1, 7, 256} {
-					ref := *base
-					ref.ChunkSize = chunk
-					want, wantRes := streamRun(t, ref)
-					if len(want) < 3 {
-						t.Fatalf("chunk %d: reference stream has only %d intervals", chunk, len(want))
-					}
-					for _, workers := range []int{1, 4, 16} {
-						par := *base
-						par.ChunkSize = chunk
-						par.Workers = workers
-						got, res := streamRun(t, par)
-						label := fmt.Sprintf("chunk=%d workers=%d", chunk, workers)
-						equalStreams(t, got, want, label)
-						if res.Instructions != wantRes.Instructions || res.Total != wantRes.Total ||
-							res.MarkerFires != wantRes.MarkerFires || res.NumBlocks != wantRes.NumBlocks {
-							t.Fatalf("%s: totals differ: %+v vs %+v", label, res, wantRes)
+				for _, skip := range []bool{false, true} {
+					for _, chunk := range []int{1, 7, 256} {
+						ref := *base
+						ref.SkipBBV = skip
+						ref.ChunkSize = chunk
+						want, wantRes := streamRun(t, ref)
+						if len(want) < 3 {
+							t.Fatalf("skipBBV=%v chunk %d: reference stream has only %d intervals", skip, chunk, len(want))
 						}
-						if res.Intervals != nil {
-							t.Fatalf("%s: engine run materialized intervals", label)
+						for _, workers := range []int{1, 4, 16} {
+							par := ref
+							par.Workers = workers
+							got, res := streamRun(t, par)
+							label := fmt.Sprintf("skipBBV=%v chunk=%d workers=%d", skip, chunk, workers)
+							equalStreams(t, got, want, label)
+							if res.Instructions != wantRes.Instructions || res.Total != wantRes.Total ||
+								res.MarkerFires != wantRes.MarkerFires || res.NumBlocks != wantRes.NumBlocks {
+								t.Fatalf("%s: totals differ: %+v vs %+v", label, res, wantRes)
+							}
+							if res.Intervals != nil {
+								t.Fatalf("%s: engine run materialized intervals", label)
+							}
 						}
 					}
 				}

@@ -26,7 +26,7 @@ type PhaseCoVResult struct {
 	Phases int
 	// Intervals is the number of intervals classified.
 	Intervals int
-	// AvgIntervalLen is the weighted... plain mean interval length.
+	// AvgIntervalLen is the plain (unweighted) mean interval length.
 	AvgIntervalLen float64
 }
 
@@ -103,22 +103,6 @@ func (a *CoVAccumulator) ObserveChunkPar(chunk []Interval, workers int) {
 	}
 }
 
-// Merge folds another accumulator into a, enabling parallel single-pass
-// accumulation over sharded traces. Both must use equivalent phaseOf and
-// metric functions.
-func (a *CoVAccumulator) Merge(o *CoVAccumulator) {
-	for id, g := range o.groups {
-		mine := a.groups[id]
-		if mine == nil {
-			mine = &stats.Weighted{}
-			a.groups[id] = mine
-		}
-		mine.Merge(*g)
-	}
-	a.totalLen += o.totalLen
-	a.n += o.n
-}
-
 // Result summarizes the observations so far. Phases fold in ascending
 // phase-ID order, so the floating-point summation order — and hence the
 // exact CoV — is a deterministic function of the observations, not of
@@ -170,13 +154,4 @@ func IntervalPhase(iv *Interval) int { return iv.PhaseID }
 // paper's "whole program" variability baseline in Figure 9.
 func WholeProgramCoV(ivs []*Interval, metric Metric) float64 {
 	return PhaseCoV(ivs, func(*Interval) int { return 0 }, metric).CoV
-}
-
-// UniquePhases counts distinct phase IDs among the intervals.
-func UniquePhases(ivs []*Interval, phaseOf func(*Interval) int) int {
-	seen := map[int]bool{}
-	for _, iv := range ivs {
-		seen[phaseOf(iv)] = true
-	}
-	return len(seen)
 }

@@ -218,6 +218,128 @@ func (c *collector) flush() {
 	}
 }
 
+// analysisStack is the one trace pipeline: the timing model, the
+// collector with its BBV accumulator, and the boundary source — the
+// fixed-length cutter or the marker detector — that drives the cuts.
+// Every regime runs it: serial Run wires it into the machine, the
+// engine's record/replay split replays events into it, and each rep
+// worker owns one.
+type analysisStack struct {
+	cpu   *uarch.CPU
+	col   *collector
+	det   *core.Detector
+	fixed *FixedCutter
+}
+
+// newAnalysisStack builds the stack for cfg. A non-nil sink selects
+// streaming mode with a cfg.ChunkSize arena; nil materializes. In marker
+// mode the detector fires its entry-edge markers here, before any event.
+func newAnalysisStack(cfg Config, sink func(chunk []Interval) error) *analysisStack {
+	s := &analysisStack{cpu: uarch.NewCPU(cfg.CPU, cfg.Prog)}
+	s.col = &collector{
+		cpu:      s.cpu,
+		acc:      bbv.NewAccumulator(cfg.Prog.NumBlocks),
+		skipBBV:  cfg.SkipBBV,
+		sink:     sink,
+		curPhase: ProloguePhase,
+	}
+	if sink != nil {
+		s.col.arena = make([]Interval, 0, cfg.ChunkSize)
+	}
+	if cfg.FixedLen > 0 {
+		s.fixed = NewFixedCutter(cfg.FixedLen, func(at uint64) {
+			s.col.cut(ProloguePhase, at)
+		})
+	} else {
+		s.det = core.NewDetector(cfg.Prog, nil, cfg.Markers, func(marker int, at uint64) {
+			s.col.cut(marker, at)
+		})
+	}
+	return s
+}
+
+// observers returns the stack's machine observers in serial dispatch
+// order: the cutter/detector first (a cut excludes the block that begins
+// the next interval), then the timing model and BBV touch. The engine's
+// replay loop (runSplit) calls the same components in the same order.
+func (s *analysisStack) observers() minivm.MultiObserver {
+	var list minivm.MultiObserver
+	if s.det != nil {
+		list = append(list, s.det)
+	} else {
+		list = append(list, s.fixed)
+	}
+	if s.col.skipBBV {
+		return append(list, s.cpu)
+	}
+	// Fuse the timing model's block accounting with BBV collection into
+	// one dispatch, and strip EvBlock from the CPU's own registration so
+	// the machine makes two observer calls per block instead of three.
+	return append(list,
+		&perfBlockObs{cpu: s.cpu, acc: s.col.acc},
+		minivm.Masked(s.cpu, minivm.EvBranch|minivm.EvMem))
+}
+
+// runRep executes one Scale repetition on m, a machine built over
+// s.observers(), and closes the repetition's final interval at base (the
+// stack's instruction position at the repetition start) plus its length.
+// With restart set — every repetition after the first — the machine and
+// the stack go cold first: timing model reset, detector occurrence
+// counts cleared or cutter grid rebased.
+func (s *analysisStack) runRep(m *minivm.Machine, args []int64, restart bool, base uint64) error {
+	if restart {
+		s.cpu.Reset()
+		s.col.lastPerf = uarch.Counters{}
+		m.Reset()
+		if s.det != nil {
+			if err := s.det.Restart(); err != nil {
+				return fmt.Errorf("trace: scale restart: %w", err)
+			}
+		} else {
+			s.fixed.Rebase()
+		}
+	}
+	if _, err := m.Run(args...); err != nil {
+		return fmt.Errorf("trace: run failed: %w", err)
+	}
+	s.col.cut(ProloguePhase, base+m.Instructions())
+	return nil
+}
+
+// fires reports the marker firings so far (0 when cutting at fixed
+// lengths).
+func (s *analysisStack) fires() uint64 {
+	if s.det == nil {
+		return 0
+	}
+	return s.det.TotalFired()
+}
+
+// finish delivers any buffered streaming chunk and assembles the Result
+// of a run whose final interval is closed.
+func (s *analysisStack) finish(cfg Config, instrs uint64, total uarch.Counters) (*Result, error) {
+	s.col.flush()
+	if s.col.err != nil {
+		return nil, fmt.Errorf("trace: sink: %w", s.col.err)
+	}
+	res := &Result{
+		Intervals:    s.col.intervals,
+		Total:        total,
+		Instructions: instrs,
+		NumBlocks:    cfg.Prog.NumBlocks,
+		MarkerFires:  s.fires(),
+	}
+	countRun(s.col.count, res.MarkerFires)
+	return res, nil
+}
+
+// countRun publishes a finished run to the segmentation metrics.
+func countRun(intervals int, fires uint64) {
+	obsTraceRuns.Inc()
+	obsIntervals.Add(uint64(intervals))
+	obsMarkerFires.Add(fires)
+}
+
 // Run executes the program under the timing model, cutting intervals per
 // cfg, and returns the segmented result.
 func Run(cfg Config) (*Result, error) {
@@ -237,6 +359,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.CPU.L1.Sets == 0 {
 		cfg.CPU = uarch.DefaultConfig()
 	}
+	if cfg.ChunkSize <= 0 {
+		cfg.ChunkSize = intervalChunk
+	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("trace: negative Workers (%d)", cfg.Workers)
 	}
@@ -246,97 +371,22 @@ func Run(cfg Config) (*Result, error) {
 		// workers. Bit-identical to the serial path below.
 		return runEngine(cfg)
 	}
-	cpu := uarch.NewCPU(cfg.CPU, cfg.Prog)
-	col := &collector{
-		cpu:      cpu,
-		acc:      bbv.NewAccumulator(cfg.Prog.NumBlocks),
-		skipBBV:  cfg.SkipBBV,
-		sink:     cfg.Sink,
-		curPhase: ProloguePhase,
-	}
-	if cfg.Sink != nil {
-		chunk := cfg.ChunkSize
-		if chunk <= 0 {
-			chunk = intervalChunk
-		}
-		col.arena = make([]Interval, 0, chunk)
-	}
-
-	// Named to avoid shadowing the imported obs metrics package (a past
-	// bug; shadow_test.go keeps it from returning).
-	var observers minivm.MultiObserver
-	var det *core.Detector
-	var fixed *FixedCutter
-	if cfg.FixedLen > 0 {
-		fixed = NewFixedCutter(cfg.FixedLen, func(at uint64) {
-			col.cut(ProloguePhase, at)
-		})
-		observers = append(observers, fixed)
-	} else {
-		det = core.NewDetector(cfg.Prog, nil, cfg.Markers, func(marker int, at uint64) {
-			col.cut(marker, at)
-		})
-		observers = append(observers, det)
-	}
-	if cfg.SkipBBV {
-		observers = append(observers, cpu)
-	} else {
-		// Fuse the timing model's block accounting with BBV collection into
-		// one dispatch, and strip EvBlock from the CPU's own registration so
-		// the machine makes two observer calls per block instead of three.
-		observers = append(observers,
-			&perfBlockObs{cpu: cpu, acc: col.acc},
-			minivm.Masked(cpu, minivm.EvBranch|minivm.EvMem))
-	}
-
-	m := minivm.NewMachine(cfg.Prog, observers)
+	s := newAnalysisStack(cfg, cfg.Sink)
+	m := minivm.NewMachine(cfg.Prog, s.observers())
 	// The Scale amplifier executes the program Scale times as one long
-	// trace of independent cold repetitions: at each boundary the
-	// repetition's final interval is closed, then the machine AND every
-	// observer reset — timing model cold, cutter grid rebased, detector
-	// occurrence counts cleared — so each repetition reproduces the same
-	// interval sequence, tiled end to end on the instruction axis.
-	runs := max(cfg.Scale, 1)
-	var total uint64
-	var done uarch.Counters // totals of completed (reset) repetitions
-	for rep := 0; rep < runs; rep++ {
-		if rep > 0 {
-			col.cut(ProloguePhase, total)
-			done = done.Add(cpu.Counters())
-			cpu.Reset()
-			col.lastPerf = uarch.Counters{}
-			m.Reset()
-			if det != nil {
-				if err := det.Restart(); err != nil {
-					return nil, fmt.Errorf("trace: scale restart: %w", err)
-				}
-			} else {
-				fixed.Rebase()
-			}
+	// trace of independent cold repetitions: each repetition's final
+	// interval is closed at its end, then the machine AND every observer
+	// reset — timing model cold, cutter grid rebased, detector occurrence
+	// counts cleared — so each repetition reproduces the same interval
+	// sequence, tiled end to end on the instruction axis.
+	var instrs uint64
+	var total uarch.Counters // summed over the (reset) repetitions
+	for rep := 0; rep < max(cfg.Scale, 1); rep++ {
+		if err := s.runRep(m, cfg.Args, rep > 0, instrs); err != nil {
+			return nil, err
 		}
-		if _, err := m.Run(cfg.Args...); err != nil {
-			return nil, fmt.Errorf("trace: run failed: %w", err)
-		}
-		total += m.Instructions()
+		instrs += m.Instructions()
+		total = total.Add(s.cpu.Counters())
 	}
-	// Close the final interval and deliver any buffered streaming chunk.
-	col.cut(ProloguePhase, total)
-	col.flush()
-	if col.err != nil {
-		return nil, fmt.Errorf("trace: sink: %w", col.err)
-	}
-
-	res := &Result{
-		Intervals:    col.intervals,
-		Total:        done.Add(cpu.Counters()),
-		Instructions: total,
-		NumBlocks:    cfg.Prog.NumBlocks,
-	}
-	if det != nil {
-		res.MarkerFires = det.TotalFired()
-	}
-	obsTraceRuns.Inc()
-	obsIntervals.Add(uint64(col.count))
-	obsMarkerFires.Add(res.MarkerFires)
-	return res, nil
+	return s.finish(cfg, instrs, total)
 }
