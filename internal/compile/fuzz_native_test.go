@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"phasemark/internal/minivm"
+	"phasemark/internal/minivm/minivmtest"
 	"phasemark/internal/stats"
 )
 
@@ -11,8 +12,12 @@ import (
 // oracle: each fuzz input seeds the random program generator (progGen,
 // shared with TestOptimizerEquivalenceFuzz), and all three backends —
 // -O0 register, optimized register, stack machine — must agree on return
-// value and out() stream. `go test -fuzz FuzzCompileDiff` explores seeds
-// the fixed trial loop never reaches.
+// value and out() stream. The -O0 program must also run identically —
+// event stream, counters, output, memory, error — on the production
+// machine and on the reference interpreter, which pins the execution
+// translation on the unoptimized code every figure traces. `go test
+// -fuzz FuzzCompileDiff` explores seeds the fixed trial loop never
+// reaches.
 func FuzzCompileDiff(f *testing.F) {
 	for _, s := range []uint64{0, 1, 7, 42, 1 << 20, 0xdeadbeef} {
 		f.Add(s, int64(3))
@@ -35,6 +40,10 @@ func FuzzCompileDiff(f *testing.F) {
 			m.MaxInstrs = 5_000_000
 			rv, err := m.Run(arg)
 			return rv, m.Output(), err
+		}
+		lim := minivmtest.Limits{MaxInstrs: 5_000_000}
+		if d := minivmtest.Diff(minivmtest.RunMachine(progs[0], lim, arg), minivmtest.RunRef(progs[0], lim, arg)); d != "" {
+			t.Fatalf("seed %d arg %d: -O0 run differs from the reference interpreter: %s\nsource:\n%s", seed, arg, d, src)
 		}
 		rv0, out0, err0 := run(progs[0])
 		for i, p := range progs[1:] {

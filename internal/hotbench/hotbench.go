@@ -87,7 +87,13 @@ func StagesScaled(scale, workers int) []Stage {
 			Name: "interp_dispatch",
 			Desc: "steady-state interpreter dispatch: applu (optimized) on its train input, machine reused via Reset, no observers",
 			Unit: "Minstr/s",
-			New:  newInterpDispatch,
+			New:  newInterpDispatch("applu", true),
+		},
+		{
+			Name: "interp_dispatch_o0",
+			Desc: "steady-state interpreter dispatch on the code every figure traces: gzip (-O0) on its train input, machine reused via Reset, no observers",
+			Unit: "Minstr/s",
+			New:  newInterpDispatch("gzip", false),
 		},
 		{
 			Name: "detector_fire",
@@ -249,19 +255,23 @@ func compiled(name string, opt bool) (*minivm.Program, *workloads.Workload, erro
 	return w.MustCompile(opt), w, nil
 }
 
-func newInterpDispatch() (func() (uint64, error), error) {
-	prog, w, err := compiled("applu", true)
-	if err != nil {
-		return nil, err
-	}
-	m := minivm.NewMachine(prog, nil)
-	return func() (uint64, error) {
-		m.Reset()
-		if _, err := m.Run(w.Train...); err != nil {
-			return 0, err
+// newInterpDispatch runs the named workload's train input on the bare
+// interpreter, reusing one machine.
+func newInterpDispatch(name string, opt bool) func() (func() (uint64, error), error) {
+	return func() (func() (uint64, error), error) {
+		prog, w, err := compiled(name, opt)
+		if err != nil {
+			return nil, err
 		}
-		return m.Instructions(), nil
-	}, nil
+		m := minivm.NewMachine(prog, nil)
+		return func() (uint64, error) {
+			m.Reset()
+			if _, err := m.Run(w.Train...); err != nil {
+				return 0, err
+			}
+			return m.Instructions(), nil
+		}, nil
+	}
 }
 
 func markerSet(prog *minivm.Program, args []int64) (*core.MarkerSet, error) {

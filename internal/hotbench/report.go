@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -29,9 +30,37 @@ type Report struct {
 
 // Run is one labelled measurement of all stages.
 type Run struct {
-	Label  string        `json:"label"`
-	Go     string        `json:"go"`
+	Label string `json:"label"`
+	Go    string `json:"go"`
+	// Host identifies the machine the run was measured on; runs recorded
+	// before it existed have none.
+	Host   *Host         `json:"host,omitempty"`
 	Stages []StageResult `json:"stages"`
+}
+
+// Host is a run's machine fingerprint, so stage figures are never
+// compared across machines unknowingly.
+type Host struct {
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+	GOARCH     string `json:"goarch"`
+}
+
+// currentHost fingerprints this machine. The CPU model comes from
+// /proc/cpuinfo where there is one.
+func currentHost() *Host {
+	h := &Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel: "unknown", GOARCH: runtime.GOARCH}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
 }
 
 // StageResult is one stage's measurement. Work units are dynamic
@@ -92,7 +121,7 @@ func Measure(label string, stages []Stage, w io.Writer) (Run, error) {
 	if stages == nil {
 		stages = Stages()
 	}
-	run := Run{Label: label, Go: runtime.Version()}
+	run := Run{Label: label, Go: runtime.Version(), Host: currentHost()}
 	for _, st := range stages {
 		sr, err := MeasureStage(st)
 		if err != nil {
@@ -139,7 +168,7 @@ func (r *Report) SetRun(run Run) {
 			continue
 		}
 		old := &r.Runs[i]
-		old.Go = run.Go
+		old.Go, old.Host = run.Go, run.Host
 		for _, sr := range run.Stages {
 			replaced := false
 			for j := range old.Stages {

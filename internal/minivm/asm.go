@@ -353,6 +353,9 @@ func parseLine(ap *asmParser, cur *Block, l string) (isTerm bool, callee string,
 		}
 		return emit(in)
 	case "jump":
+		if len(ops) != 1 {
+			return fail("want 1 operand")
+		}
 		tgt, perr := blockIdx(ops[0])
 		if perr != nil {
 			return fail("%v", perr)
@@ -388,6 +391,9 @@ func parseLine(ap *asmParser, cur *Block, l string) (isTerm bool, callee string,
 		cur.Term = Term{Kind: TermBranch, Cond: cond, A: a, B: b, Target: tgt, Else: els}
 		return true, "", nil
 	case "ret":
+		if len(ops) != 1 {
+			return fail("want 1 operand")
+		}
 		rr, perr := reg(ops[0])
 		if perr != nil {
 			return fail("%v", perr)

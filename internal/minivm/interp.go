@@ -238,6 +238,11 @@ type Machine struct {
 	prog *Program
 	mem  []int64
 
+	// code is the program's translation (translate.go), one entry per
+	// block, built once by NewMachine; entry is the entry proc's block 0.
+	code  []xblock
+	entry int32
+
 	// Per-event observer dispatch, built once from the observer passed to
 	// NewMachine (see EventMasker). An empty sink means the event is not
 	// emitted at all.
@@ -248,8 +253,10 @@ type Machine struct {
 	onMem    sink
 
 	// regs is the register arena: each frame owns the window
-	// [frame.base, frame.base+frame.nregs). Calls extend it and returns
-	// truncate it, so the steady state allocates nothing.
+	// [frame.base, frame.base+frame.proc.NumRegs). Calls extend it and returns
+	// truncate it, so the steady state allocates nothing. Its capacity
+	// always exceeds its length by NumRegsMax words, so every frame can
+	// be read through a whole *[NumRegsMax]int64 window.
 	regs   []int64
 	frames []frame
 
@@ -269,9 +276,12 @@ type Machine struct {
 }
 
 // NewMachine builds a machine for prog reporting to observer (nil for
-// none). The observer's per-event dispatch is resolved here, once: nested
-// MultiObservers are flattened and every event kind gets its own direct
-// call list, filtered by the observers' EventMasks.
+// none). Two things are resolved here, once: the program's translation
+// into the form Run executes (see translate.go; it panics if prog has a
+// register or block index Validate would reject), and the observer's
+// per-event dispatch — nested MultiObservers are flattened and every
+// event kind gets its own direct call list, filtered by the observers'
+// EventMasks.
 func NewMachine(prog *Program, observer Observer) *Machine {
 	m := &Machine{
 		prog:      prog,
@@ -279,6 +289,7 @@ func NewMachine(prog *Program, observer Observer) *Machine {
 		MaxInstrs: DefaultMaxInstrs,
 		MaxDepth:  DefaultMaxDepth,
 	}
+	m.code, m.entry = translate(prog)
 	flat := flattenObservers(observer, nil)
 	var block, call, ret, branch, mem []Observer
 	for _, o := range flat {
@@ -357,33 +368,42 @@ func (m *Machine) Reset() {
 }
 
 type frame struct {
-	proc   *Proc
-	base   int   // register window start in Machine.regs
-	nregs  int   // register window length
-	retBlk int   // caller block index to resume at
-	retReg uint8 // caller register receiving the return value
+	proc    *Proc
+	base    int   // register window start in Machine.regs
+	retSlot int32 // caller block (a Machine.code slot) to resume at
+	retReg  uint8 // caller register receiving the return value
 }
 
-// growZero extends s by n zeroed elements, reusing capacity when it can.
-func growZero(s []int64, n int) []int64 {
+// pushFrame extends the register arena by a zeroed window of n registers,
+// keeping NumRegsMax words of capacity beyond it.
+func pushFrame(s []int64, n int) []int64 {
 	l := len(s)
-	if l+n <= cap(s) {
-		s = s[: l+n : cap(s)]
+	if l+n+NumRegsMax <= cap(s) {
+		s = s[:l+n]
 		clear(s[l:])
 		return s
 	}
-	ns := make([]int64, l+n, 2*(l+n)+64)
+	ns := make([]int64, l+n, 2*(l+n)+NumRegsMax+64)
 	copy(ns, s)
 	return ns
+}
+
+// window is the register file of the frame based at base. Operands are
+// masked with &63 when indexing it, so reads and writes need no bounds
+// check; translation has already rejected any register at or above the
+// proc's NumRegs.
+func window(regs []int64, base int) *[NumRegsMax]int64 {
+	return (*[NumRegsMax]int64)(regs[base : base+NumRegsMax])
 }
 
 // Run executes the program's entry procedure with the given arguments
 // (copied into the entry proc's first registers). It returns the entry
 // procedure's return value (0 if it halts without returning).
 //
-// The hot loop emits observer events through the per-event sinks resolved
-// in NewMachine: no event nobody consumes is dispatched, a single consumer
-// is called directly, and only genuinely shared events range over a list.
+// The loop dispatches the translation NewMachine built, and emits observer
+// events through the per-event sinks resolved there: no event nobody
+// consumes is dispatched, a single consumer is called directly, and only
+// genuinely shared events range over a list.
 func (m *Machine) Run(args ...int64) (int64, error) {
 	entry := m.prog.EntryProc()
 	if len(args) != entry.NumArgs {
@@ -391,14 +411,17 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 			entry.Name, entry.NumArgs, len(args))
 	}
 	defer m.flushObs()
-	m.regs = growZero(m.regs[:0], entry.NumRegs)
+	m.regs = pushFrame(m.regs[:0], entry.NumRegs)
 	copy(m.regs, args)
-	m.frames = append(m.frames[:0], frame{proc: entry, nregs: entry.NumRegs})
+	m.frames = append(m.frames[:0], frame{proc: entry})
 	fr := &m.frames[0]
-	bi := 0
+	r := window(m.regs, 0)
+	mem, blocks := m.mem, m.code
+	slot := m.entry
 
 	for {
-		b := fr.proc.Blocks[bi]
+		xb := &blocks[slot]
+		b := xb.b
 		if o := m.onBlock.one; o != nil {
 			o.OnBlock(b)
 		} else if m.onBlock.many != nil {
@@ -406,55 +429,74 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 				o.OnBlock(b)
 			}
 		}
-		m.instrs += uint64(b.Weight())
+		m.instrs += xb.weight
 		if m.instrs > m.MaxInstrs {
 			return 0, fmt.Errorf("%w (limit %d)", ErrInstrLimit, m.MaxInstrs)
 		}
-		regs := m.regs[fr.base : fr.base+fr.nregs]
-		for _, in := range b.Instr {
-			switch in.Op {
-			case OpNop:
-			case OpConst:
-				regs[in.A] = in.Imm
-			case OpMov:
-				regs[in.A] = regs[in.B]
-			case OpAdd:
-				regs[in.A] = regs[in.B] + regs[in.C]
-			case OpSub:
-				regs[in.A] = regs[in.B] - regs[in.C]
-			case OpMul:
-				regs[in.A] = regs[in.B] * regs[in.C]
-			case OpDiv:
-				if regs[in.C] == 0 {
+		code := xb.code
+		for i := range code {
+			in := &code[i]
+			switch in.op {
+			case xConst:
+				r[in.a&63] = in.imm
+			case xMov:
+				r[in.a&63] = r[in.b&63]
+			case xAdd:
+				r[in.a&63] = r[in.b&63] + r[in.c&63]
+			case xSub:
+				r[in.a&63] = r[in.b&63] - r[in.c&63]
+			case xMul:
+				r[in.a&63] = r[in.b&63] * r[in.c&63]
+			case xAnd:
+				r[in.a&63] = r[in.b&63] & r[in.c&63]
+			case xOr:
+				r[in.a&63] = r[in.b&63] | r[in.c&63]
+			case xXor:
+				r[in.a&63] = r[in.b&63] ^ r[in.c&63]
+			case xShl:
+				r[in.a&63] = r[in.b&63] << (uint64(r[in.c&63]) & 63)
+			case xShr:
+				r[in.a&63] = int64(uint64(r[in.b&63]) >> (uint64(r[in.c&63]) & 63))
+			case xNeg:
+				r[in.a&63] = -r[in.b&63]
+			case xNot:
+				r[in.a&63] = ^r[in.b&63]
+			case xAddI:
+				r[in.a&63] = r[in.b&63] + in.imm
+			case xMulI:
+				r[in.a&63] = r[in.b&63] * in.imm
+			case xAndI:
+				r[in.a&63] = r[in.b&63] & in.imm
+			case xOrI:
+				r[in.a&63] = r[in.b&63] | in.imm
+			case xXorI:
+				r[in.a&63] = r[in.b&63] ^ in.imm
+			case xShlI:
+				r[in.a&63] = r[in.b&63] << uint64(in.imm)
+			case xShrI:
+				r[in.a&63] = int64(uint64(r[in.b&63]) >> uint64(in.imm))
+			case xDivI:
+				r[in.a&63] = r[in.b&63] / in.imm
+			case xModI:
+				r[in.a&63] = r[in.b&63] % in.imm
+			case xDiv:
+				d := r[in.c&63]
+				if d == 0 {
 					return 0, fmt.Errorf("%w in %s b%d", ErrDivByZero, fr.proc.Name, b.Index)
 				}
-				regs[in.A] = regs[in.B] / regs[in.C]
-			case OpMod:
-				if regs[in.C] == 0 {
+				r[in.a&63] = r[in.b&63] / d
+			case xMod:
+				d := r[in.c&63]
+				if d == 0 {
 					return 0, fmt.Errorf("%w in %s b%d", ErrDivByZero, fr.proc.Name, b.Index)
 				}
-				regs[in.A] = regs[in.B] % regs[in.C]
-			case OpAnd:
-				regs[in.A] = regs[in.B] & regs[in.C]
-			case OpOr:
-				regs[in.A] = regs[in.B] | regs[in.C]
-			case OpXor:
-				regs[in.A] = regs[in.B] ^ regs[in.C]
-			case OpShl:
-				regs[in.A] = regs[in.B] << (uint64(regs[in.C]) & 63)
-			case OpShr:
-				regs[in.A] = int64(uint64(regs[in.B]) >> (uint64(regs[in.C]) & 63))
-			case OpNeg:
-				regs[in.A] = -regs[in.B]
-			case OpNot:
-				regs[in.A] = ^regs[in.B]
-			case OpAddI:
-				regs[in.A] = regs[in.B] + in.Imm
-			case OpMulI:
-				regs[in.A] = regs[in.B] * in.Imm
-			case OpLoad:
-				addr := regs[in.B] + in.Imm
-				if addr < 0 || addr >= int64(len(m.mem)) {
+				r[in.a&63] = r[in.b&63] % d
+			case xLoad, xLoadA:
+				addr := in.imm
+				if in.op == xLoad {
+					addr += r[in.b&63]
+				}
+				if uint64(addr) >= uint64(len(mem)) {
 					return 0, fmt.Errorf("%w: load word %d in %s b%d", ErrMemFault, addr, fr.proc.Name, b.Index)
 				}
 				m.memRefs++
@@ -465,10 +507,16 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 						o.OnMem(uint64(addr)*WordBytes, false)
 					}
 				}
-				regs[in.A] = m.mem[addr]
-			case OpStore:
-				addr := regs[in.B] + in.Imm
-				if addr < 0 || addr >= int64(len(m.mem)) {
+				r[in.a&63] = mem[addr]
+			case xStore, xStoreA, xStoreK:
+				addr, v := in.imm, int64(in.k)
+				if in.op != xStoreA {
+					addr += r[in.b&63]
+				}
+				if in.op != xStoreK {
+					v = r[in.a&63]
+				}
+				if uint64(addr) >= uint64(len(mem)) {
 					return 0, fmt.Errorf("%w: store word %d in %s b%d", ErrMemFault, addr, fr.proc.Name, b.Index)
 				}
 				m.memRefs++
@@ -479,49 +527,33 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 						o.OnMem(uint64(addr)*WordBytes, true)
 					}
 				}
-				m.mem[addr] = regs[in.A]
-			case OpOut:
-				m.out = append(m.out, regs[in.A])
-			case OpMark:
+				mem[addr] = v
+			case xOut:
+				m.out = append(m.out, r[in.a&63])
+			case xMark:
 				m.marks++
 				if m.MarkFunc != nil {
-					m.MarkFunc(in.Imm)
+					m.MarkFunc(in.imm)
 				}
 			}
 		}
 
-		t := &b.Term
-		switch t.Kind {
-		case TermJump:
-			bi = t.Target
-		case TermBranch:
-			m.branches++
-			taken := t.Cond.Eval(regs[t.A], regs[t.B])
-			if o := m.onBranch.one; o != nil {
-				o.OnBranch(b, taken)
-			} else if m.onBranch.many != nil {
-				for _, o := range m.onBranch.many {
-					o.OnBranch(b, taken)
-				}
-			}
-			if taken {
-				bi = t.Target
-			} else {
-				bi = t.Else
-			}
-		case TermCall:
+		switch k := xb.kind; k {
+		case xtJump:
+			slot = xb.target
+		case xtCall:
 			m.calls++
 			if len(m.frames) >= m.MaxDepth {
 				return 0, ErrStackOverflow
 			}
-			callee := m.prog.Procs[t.Callee]
+			callee := xb.callee
 			base := len(m.regs)
-			m.regs = growZero(m.regs, callee.NumRegs)
-			// regs may have been reallocated by the grow: re-derive the
-			// caller window from the arena before copying arguments.
-			caller := m.regs[fr.base : fr.base+fr.nregs]
-			for i, a := range t.Args {
-				m.regs[base+i] = caller[a]
+			m.regs = pushFrame(m.regs, callee.NumRegs)
+			// The arena may have been reallocated by the push: re-derive
+			// the caller window before copying arguments.
+			caller := window(m.regs, fr.base)
+			for i, a := range xb.args {
+				m.regs[base+i] = caller[a&63]
 			}
 			if o := m.onCall.one; o != nil {
 				o.OnCall(b, callee)
@@ -530,17 +562,12 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 					o.OnCall(b, callee)
 				}
 			}
-			m.frames = append(m.frames, frame{
-				proc:   callee,
-				base:   base,
-				nregs:  callee.NumRegs,
-				retBlk: t.Next,
-				retReg: t.Ret,
-			})
+			m.frames = append(m.frames, frame{proc: callee, base: base, retSlot: xb.els, retReg: xb.ta})
 			fr = &m.frames[len(m.frames)-1]
-			bi = 0
-		case TermRet:
-			rv := regs[t.Ret]
+			r = window(m.regs, base)
+			slot = xb.target
+		case xtRet:
+			rv := r[xb.ta&63]
 			if o := m.onRet.one; o != nil {
 				o.OnReturn(fr.proc)
 			} else if m.onRet.many != nil {
@@ -551,13 +578,14 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 			if len(m.frames) == 1 {
 				return rv, nil
 			}
-			retBlk, retReg := fr.retBlk, fr.retReg
+			retSlot, retReg := fr.retSlot, fr.retReg
 			m.regs = m.regs[:fr.base]
 			m.frames = m.frames[:len(m.frames)-1]
 			fr = &m.frames[len(m.frames)-1]
-			m.regs[fr.base+int(retReg)] = rv
-			bi = retBlk
-		case TermHalt:
+			r = window(m.regs, fr.base)
+			r[retReg&63] = rv
+			slot = retSlot
+		case xtHalt:
 			// Unwind observers for any active frames so profilers see a
 			// balanced call/return stream.
 			if m.onRet.one != nil || m.onRet.many != nil {
@@ -572,6 +600,48 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 				}
 			}
 			return 0, nil
+		default:
+			m.branches++
+			var taken bool
+			x := r[xb.ta&63]
+			switch k {
+			case xtBr + xterm(CondEQ):
+				taken = x == r[xb.tb&63]
+			case xtBr + xterm(CondNE):
+				taken = x != r[xb.tb&63]
+			case xtBr + xterm(CondLT):
+				taken = x < r[xb.tb&63]
+			case xtBr + xterm(CondLE):
+				taken = x <= r[xb.tb&63]
+			case xtBr + xterm(CondGT):
+				taken = x > r[xb.tb&63]
+			case xtBr + xterm(CondGE):
+				taken = x >= r[xb.tb&63]
+			case xtBrI + xterm(CondEQ):
+				taken = x == xb.imm
+			case xtBrI + xterm(CondNE):
+				taken = x != xb.imm
+			case xtBrI + xterm(CondLT):
+				taken = x < xb.imm
+			case xtBrI + xterm(CondLE):
+				taken = x <= xb.imm
+			case xtBrI + xterm(CondGT):
+				taken = x > xb.imm
+			default:
+				taken = x >= xb.imm
+			}
+			if o := m.onBranch.one; o != nil {
+				o.OnBranch(b, taken)
+			} else if m.onBranch.many != nil {
+				for _, o := range m.onBranch.many {
+					o.OnBranch(b, taken)
+				}
+			}
+			if taken {
+				slot = xb.target
+			} else {
+				slot = xb.els
+			}
 		}
 	}
 }

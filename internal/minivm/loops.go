@@ -28,13 +28,19 @@ func (l *Loop) String() string {
 }
 
 // Loops is the loop table for one program: per-procedure loops ordered by
-// head index, plus a head-block lookup. The lookup is a dense slice
-// indexed by global block ID — the loop tracker consults it once per
+// head index, plus two per-block lookups. The lookups are dense slices
+// indexed by global block ID — the loop tracker consults them once per
 // executed block, and a map probe there dominated the walker's hot path.
 type Loops struct {
 	ByProc   [][]*Loop // indexed by proc ID, ordered by head index
 	headByID []*Loop   // indexed by global block ID; nil for non-heads
-	All      []*Loop
+	// innerByID is, per global block ID, the innermost loop whose region
+	// contains the block: of the loops containing it, the one with the
+	// latest head (nil outside every loop). A block that heads a loop
+	// maps to that loop, since no region containing the block starts
+	// after it.
+	innerByID []*Loop
+	All       []*Loop
 }
 
 // LoopAtHead returns the loop whose head is b, or nil.
@@ -45,8 +51,9 @@ func (ls *Loops) LoopAtHead(b *Block) *Loop { return ls.headByID[b.ID] }
 // so the region-based runtime tracking below is exact.
 func FindLoops(p *Program) *Loops {
 	ls := &Loops{
-		ByProc:   make([][]*Loop, len(p.Procs)),
-		headByID: make([]*Loop, p.NumBlocks),
+		ByProc:    make([][]*Loop, len(p.Procs)),
+		headByID:  make([]*Loop, p.NumBlocks),
+		innerByID: make([]*Loop, p.NumBlocks),
 	}
 	for _, pr := range p.Procs {
 		byHead := map[int]*Loop{} // head index -> loop
@@ -87,6 +94,11 @@ func FindLoops(p *Program) *Loops {
 				l.Depth = l.Parent.Depth + 1
 			}
 			ls.headByID[l.Head.ID] = l
+			// Loops run in head order, so a later (inner) region
+			// overwrites an earlier one.
+			for bi := l.Head.Index; bi <= l.End; bi++ {
+				ls.innerByID[pr.Blocks[bi].ID] = l
+			}
 		}
 		ls.ByProc[pr.ID] = loops
 		ls.All = append(ls.All, loops...)
@@ -160,6 +172,19 @@ func (t *LoopTracker) Active() []*Loop { return t.frames[len(t.frames)-1].active
 // OnBlock implements Observer.
 func (t *LoopTracker) OnBlock(b *Block) {
 	fr := &t.frames[len(t.frames)-1]
+	// Fast path: the active top is the innermost loop containing b (or
+	// neither exists). Then no loop exits, and b can only head the top
+	// itself, so the block is an iteration or nothing.
+	var top *Loop
+	if n := len(fr.active); n > 0 {
+		top = fr.active[n-1]
+	}
+	if top == t.loops.innerByID[b.ID] {
+		if top != nil && t.loops.headByID[b.ID] == top {
+			t.ev.OnLoopIterate(top)
+		}
+		return
+	}
 	// Exit loops whose region no longer contains the current block.
 	for len(fr.active) > 0 {
 		top := fr.active[len(fr.active)-1]
